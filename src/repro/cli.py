@@ -219,6 +219,17 @@ def _detect_zonedb(args: argparse.Namespace):
         suffix = f" (scenario digest {digest[:12]}…)" if digest else ""
         print(f"Opened dataset {args.dataset}{suffix}", file=sys.stderr)
         return zonedb
+    # An archive is <root>/<tld>/<day>.zone. Name a wrong path here rather
+    # than ingest nothing and report an empty data set.
+    archive = Path(args.archive)
+    if not archive.is_dir():
+        print(f"error: archive directory does not exist: {archive}", file=sys.stderr)
+        return None
+    if not any(archive.glob("*/*.zone")):
+        nested = archive / "zones"
+        hint = f"; did you mean {nested}?" if any(nested.glob("*/*.zone")) else ""
+        print(f"error: no *.zone files under {archive}{hint}", file=sys.stderr)
+        return None
     print(f"Ingesting zone archive {args.archive}...", file=sys.stderr)
     store = None
     if args.backend == "sqlite":

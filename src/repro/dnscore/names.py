@@ -30,12 +30,48 @@ _LDH_LABEL = re.compile(r"^[a-z0-9]([a-z0-9-]*[a-z0-9])?$")
 _LAX_LABEL = re.compile(r"^[a-z0-9_]([a-z0-9_-]*[a-z0-9_])?$")
 
 
+#: Distinct ``(raw text, strict)`` parses kept. Bounded so a long run over
+#: many distinct names cannot grow the memo without limit.
+_PARSE_CACHE_SIZE = 1 << 18
+
+
+@lru_cache(maxsize=_PARSE_CACHE_SIZE)
+def _parse(raw: str, strict: bool) -> tuple[str, tuple[str, ...]]:
+    """Validate raw name text once; returns ``(canonical text, labels)``.
+
+    Memoised by ``(raw, strict)``, so strict and lax parses never share an
+    entry. ``lru_cache`` does not cache exceptions: an invalid name raises
+    the same :class:`NameError_` on every construction.
+    """
+    text = raw.strip().rstrip(".").lower()
+    if not text:
+        raise NameError_("empty domain name")
+    if len(text) > MAX_NAME_LENGTH:
+        raise NameError_(f"name exceeds {MAX_NAME_LENGTH} octets: {text[:64]}...")
+    labels = tuple(text.split("."))
+    pattern = _LDH_LABEL if strict else _LAX_LABEL
+    for label in labels:
+        if not label:
+            raise NameError_(f"empty label in name: {text!r}")
+        if len(label) > MAX_LABEL_LENGTH:
+            raise NameError_(f"label exceeds {MAX_LABEL_LENGTH} octets: {label!r}")
+        if not pattern.match(label):
+            raise NameError_(f"invalid label {label!r} in name {text!r}")
+    return text, labels
+
+
 class Name:
     """An immutable, normalized absolute domain name.
 
     Instances compare and hash by their canonical lowercase text form, so
     they can be freely mixed as dict keys alongside plain strings produced
     by :meth:`text`.
+
+    Construct a :class:`Name` where raw text enters the system; the
+    containers downstream (zones, the zone database, the stores) hold its
+    canonical text. Parsing is memoised per ``(raw text, strict)``, so
+    building a name again from the same text costs one cache lookup and
+    still runs every check for text never seen before.
 
     >>> Name("NS1.Example.COM").text
     'ns1.example.com'
@@ -50,22 +86,7 @@ class Name:
             self._labels = name._labels
             self._text = name._text
             return
-        text = name.strip().rstrip(".").lower()
-        if not text:
-            raise NameError_("empty domain name")
-        if len(text) > MAX_NAME_LENGTH:
-            raise NameError_(f"name exceeds {MAX_NAME_LENGTH} octets: {text[:64]}...")
-        labels = tuple(text.split("."))
-        pattern = _LDH_LABEL if strict else _LAX_LABEL
-        for label in labels:
-            if not label:
-                raise NameError_(f"empty label in name: {text!r}")
-            if len(label) > MAX_LABEL_LENGTH:
-                raise NameError_(f"label exceeds {MAX_LABEL_LENGTH} octets: {label!r}")
-            if not pattern.match(label):
-                raise NameError_(f"invalid label {label!r} in name {text!r}")
-        self._labels = labels
-        self._text = text
+        self._text, self._labels = _parse(name, strict)
 
     @property
     def text(self) -> str:
@@ -147,14 +168,16 @@ class Name:
         return len(self._labels)
 
 
-@lru_cache(maxsize=65536)
-def normalize(name: str) -> str:
-    """Normalize a raw name string to canonical text form.
+def normalize(name: str | Name) -> str:
+    """Canonical text of a name: ``Name(name).text``, without the object.
 
-    A cached convenience for hot paths in the zone database that handle
-    millions of names; equivalent to ``Name(name).text``.
+    Reads the same parse memo as :class:`Name` (and raises the same
+    :class:`NameError_`), so hot loops that only need the text skip
+    building a :class:`Name` per token.
     """
-    return Name(name).text
+    if isinstance(name, Name):
+        return name._text
+    return _parse(name, False)[0]
 
 
 def is_valid(name: str, *, strict: bool = False) -> bool:

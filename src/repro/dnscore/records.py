@@ -11,6 +11,7 @@ from __future__ import annotations
 import ipaddress
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 from repro.dnscore.errors import DnsError
 from repro.dnscore.names import Name
@@ -55,10 +56,7 @@ class ResourceRecord:
         if self.rtype in (RRType.NS, RRType.CNAME):
             rdata = Name(rdata).text
         elif self.rtype is RRType.A:
-            addr = ipaddress.ip_address(rdata)
-            if addr.version != 4:
-                raise DnsError(f"A record with non-IPv4 rdata: {rdata!r}")
-            rdata = str(addr)
+            rdata = ipv4_text(rdata)
         elif self.rtype is RRType.AAAA:
             addr = ipaddress.ip_address(rdata)
             if addr.version != 6:
@@ -106,6 +104,19 @@ class RRSet:
 
     def __len__(self) -> int:
         return len(self.records)
+
+
+@lru_cache(maxsize=4096)
+def ipv4_text(address: str) -> str:
+    """Canonical text of an IPv4 address (A rdata), memoised per address.
+
+    Raises :class:`DnsError` for an IPv6 address and :class:`ValueError`
+    for text that is no address at all.
+    """
+    addr = ipaddress.ip_address(address.strip())
+    if addr.version != 4:
+        raise DnsError(f"A record with non-IPv4 rdata: {address.strip()!r}")
+    return str(addr)
 
 
 def ns_record(owner: str, target: str, ttl: int = DEFAULT_TTL) -> ResourceRecord:

@@ -12,12 +12,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.dnscore.errors import ZoneError
-from repro.dnscore.names import Name
+from repro.dnscore.names import Name, normalize
 from repro.dnscore.records import (
     DEFAULT_TTL,
     ResourceRecord,
     RRType,
     a_record,
+    ipv4_text,
     ns_record,
     soa_record,
 )
@@ -65,14 +66,16 @@ class Zone:
         the origin or the NS set is empty.
         """
         name = Name(domain)
-        if not name.is_strict_subdomain_of(self._origin):
+        origin_labels = self._origin.labels
+        depth = len(origin_labels)
+        if len(name) <= depth or name.labels[-depth:] != origin_labels:
             raise ZoneError(f"{name.text!r} is not under zone {self.origin!r}")
-        if name.parent() != self._origin:
+        if len(name) != depth + 1:
             raise ZoneError(
                 f"{name.text!r} is not a direct child of {self.origin!r}; "
                 "TLD zones delegate only at the first level"
             )
-        ns_set = {Name(ns).text for ns in nameservers}
+        ns_set = {normalize(ns) for ns in nameservers}
         if not ns_set:
             raise ZoneError(f"empty nameserver set for {name.text!r}")
         self._delegations[name.text] = ns_set
@@ -103,13 +106,18 @@ class Zone:
     # -- glue ------------------------------------------------------------
 
     def set_glue(self, host: str, addresses: Iterable[str]) -> None:
-        """Install glue A records for an in-bailiwick host name."""
+        """Install glue A records for an in-bailiwick host name.
+
+        Addresses are validated here, once, and stored canonical; an
+        IPv6 address raises :class:`DnsError`, text that is no address
+        at all raises :class:`ValueError`.
+        """
         name = Name(host)
         if not name.is_strict_subdomain_of(self._origin):
             raise ZoneError(
                 f"glue for {name.text!r} is out of bailiwick for {self.origin!r}"
             )
-        addrs = set(addresses)
+        addrs = {ipv4_text(address) for address in addresses}
         if not addrs:
             raise ZoneError(f"empty glue address set for {name.text!r}")
         self._glue[name.text] = addrs
@@ -128,14 +136,17 @@ class Zone:
 
     # -- records / serialization ------------------------------------------
 
-    def records(self) -> Iterator[ResourceRecord]:
-        """Stream the zone as resource records (SOA, NS, then glue A)."""
-        yield soa_record(
+    def _soa(self) -> ResourceRecord:
+        return soa_record(
             self.origin,
             f"a.nic.{self.origin}",
             f"hostmaster.nic.{self.origin}",
             self.serial,
         )
+
+    def records(self) -> Iterator[ResourceRecord]:
+        """Stream the zone as resource records (SOA, NS, then glue A)."""
+        yield self._soa()
         for domain in sorted(self._delegations):
             for ns in sorted(self._delegations[domain]):
                 yield ns_record(domain, ns, DEFAULT_TTL)
@@ -144,9 +155,20 @@ class Zone:
                 yield a_record(host, addr, DEFAULT_TTL)
 
     def to_text(self) -> str:
-        """Serialize to a master-file-like text form."""
-        lines = [f"$ORIGIN {self.origin}."]
-        lines.extend(record.to_line() for record in self.records())
+        """Serialize to a master-file-like text form.
+
+        Renders straight from the zone's stored strings, which
+        :meth:`set_delegation` and :meth:`set_glue` already validated and
+        canonicalized, so no record is rebuilt; the output equals the
+        :meth:`records` lines under an ``$ORIGIN`` header.
+        """
+        lines = [f"$ORIGIN {self.origin}.", self._soa().to_line()]
+        for domain in sorted(self._delegations):
+            owner = f"{domain}. {DEFAULT_TTL} IN NS "
+            lines.extend(owner + ns for ns in sorted(self._delegations[domain]))
+        for host in sorted(self._glue):
+            owner = f"{host}. {DEFAULT_TTL} IN A "
+            lines.extend(owner + addr for addr in sorted(self._glue[host]))
         return "\n".join(lines) + "\n"
 
     @classmethod

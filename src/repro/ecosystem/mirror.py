@@ -35,7 +35,7 @@ class ZoneMirror:
         self.database = database
         self.ledger = ledger
         self._glue_hosts: set[str] = set()
-        for tld in repository.tlds:
+        for tld in sorted(repository.tlds):
             database.cover(tld)
 
     def __call__(self, day: int, operation: str, details: dict) -> None:

@@ -24,6 +24,11 @@ if TYPE_CHECKING:
     from repro.store.changelog import DeltaEvent
 
 
+def _tld_of(name: str) -> str:
+    """The rightmost label of a canonical name (or of a name suffix)."""
+    return name.rpartition(".")[2]
+
+
 class MemoryDelegationStore:
     """Dict-of-intervals backend; fast, volatile, insertion-ordered."""
 
@@ -34,6 +39,11 @@ class MemoryDelegationStore:
         self._ns_recs: dict[str, list[DelegationRecord]] = {}
         self._open: dict[tuple[str, str], DelegationRecord] = {}
         self._current: dict[str, set[str]] = {}
+        # Per-TLD views of the keys of ``_domain_recs`` and ``_current``,
+        # in the same insertion order, so per-TLD queries skip the other
+        # TLDs' domains.
+        self._domains_by_tld: dict[str, dict[str, None]] = {}
+        self._current_by_tld: dict[str, dict[str, None]] = {}
         self._presence: dict[str, PresenceHistory] = {
             GLUE: PresenceHistory(),
             DOMAIN: PresenceHistory(),
@@ -43,12 +53,26 @@ class MemoryDelegationStore:
 
     # -- pair intervals ----------------------------------------------------
 
+    def _records_of(self, domain: str) -> list[DelegationRecord]:
+        records = self._domain_recs.get(domain)
+        if records is None:
+            records = self._domain_recs[domain] = []
+            self._domains_by_tld.setdefault(_tld_of(domain), {})[domain] = None
+        return records
+
+    def _current_of(self, domain: str) -> set[str]:
+        current = self._current.get(domain)
+        if current is None:
+            current = self._current[domain] = set()
+            self._current_by_tld.setdefault(_tld_of(domain), {})[domain] = None
+        return current
+
     def open_pair(self, domain: str, ns: str, day: int) -> None:
         record = DelegationRecord(domain, ns, day)
         self._open[(domain, ns)] = record
-        self._domain_recs.setdefault(domain, []).append(record)
+        self._records_of(domain).append(record)
         self._ns_recs.setdefault(ns, []).append(record)
-        self._current.setdefault(domain, set()).add(ns)
+        self._current_of(domain).add(ns)
 
     def close_pair(self, domain: str, ns: str, day: int) -> None:
         record = self._open.pop((domain, ns), None)
@@ -59,12 +83,14 @@ class MemoryDelegationStore:
             current.discard(ns)
             if not current:
                 del self._current[domain]
+                del self._current_by_tld[_tld_of(domain)][domain]
         if day <= record.start:
             # Added and removed within one day: invisible to daily zone
             # snapshots, so it must not exist in the interval history.
             self._domain_recs[domain].remove(record)
             if not self._domain_recs[domain]:
                 del self._domain_recs[domain]
+                del self._domains_by_tld[_tld_of(domain)][domain]
             self._ns_recs[ns].remove(record)
             if not self._ns_recs[ns]:
                 del self._ns_recs[ns]
@@ -73,11 +99,11 @@ class MemoryDelegationStore:
 
     def add_record(self, domain: str, ns: str, start: int, end: int | None) -> None:
         record = DelegationRecord(domain, ns, start, end)
-        self._domain_recs.setdefault(domain, []).append(record)
+        self._records_of(domain).append(record)
         self._ns_recs.setdefault(ns, []).append(record)
         if end is None:
             self._open[(domain, ns)] = record
-            self._current.setdefault(domain, set()).add(ns)
+            self._current_of(domain).add(ns)
 
     def current_nameservers(self, domain: str) -> frozenset[str]:
         return frozenset(self._current.get(domain, ()))
@@ -85,7 +111,13 @@ class MemoryDelegationStore:
     def current_domains(self, suffix: str | None = None) -> list[str]:
         if suffix is None:
             return list(self._current)
-        return [domain for domain in self._current if domain.endswith(suffix)]
+        # A suffix with a dot fixes the TLD; any other scans every domain.
+        candidates = (
+            self._current_by_tld.get(_tld_of(suffix), ())
+            if "." in suffix
+            else self._current
+        )
+        return [domain for domain in candidates if domain.endswith(suffix)]
 
     # -- pair queries ------------------------------------------------------
 
@@ -109,7 +141,11 @@ class MemoryDelegationStore:
 
     def domains_in_tld(self, tld: str) -> list[str]:
         suffix = "." + tld
-        return [domain for domain in self._domain_recs if domain.endswith(suffix)]
+        return [
+            domain
+            for domain in self._domains_by_tld.get(_tld_of(tld), ())
+            if domain.endswith(suffix)
+        ]
 
     def partitions(self) -> list[str]:
         return sorted({domain.rsplit(".", 1)[-1] for domain in self._domain_recs})

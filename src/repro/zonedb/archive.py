@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.dnscore.errors import DnsError
-from repro.dnscore.names import Name
+from repro.dnscore.names import normalize
 from repro.store.base import DelegationStore
 from repro.zonedb.database import IngestPolicy, ZoneDatabase
 from repro.zonedb.snapshot import ZoneSnapshot
@@ -34,7 +34,7 @@ def _canonical_or_raw(text: str) -> str:
     under a strict policy) instead of the parser dying mid-file.
     """
     try:
-        return Name(text).text
+        return normalize(text)
     except DnsError:
         return text.strip().rstrip(".")
 

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Iterable, Iterator
 
 from repro.dnscore.errors import NameError_
-from repro.dnscore.names import Name
+from repro.dnscore.names import Name, normalize
 from repro.simtime import Interval
 from repro.store.base import (
     DOMAIN,
@@ -58,6 +58,11 @@ __all__ = [
     "IngestReport",
     "ZoneDatabase",
 ]
+
+
+#: The database tracks glue *presence*, not addresses (DZDB-style), so
+#: reconstructed snapshots carry a documentation-range placeholder.
+_PLACEHOLDER_GLUE = frozenset({"192.0.2.0"})
 
 
 class IngestError(Exception):
@@ -253,7 +258,7 @@ class ZoneDatabase:
         """Record that ``domain``'s NS set is ``nameservers`` from ``day`` on."""
         self.advance(max(self.horizon, day))
         domain_text = Name(domain).text
-        new_set = frozenset(Name(ns).text for ns in nameservers)
+        new_set = frozenset([normalize(ns) for ns in nameservers])
         if not new_set:
             self.remove_delegation(day, domain_text)
             return
@@ -372,6 +377,11 @@ class ZoneDatabase:
                         report.closed_after_gap += 1
                     else:
                         report.gaps_bridged += 1
+            if ns_set and self.store.current_nameservers(domain) == ns_set:
+                # Unchanged delegation: the store holds only validated
+                # canonical names, so an equal set needs no re-validation.
+                self.advance(max(self.horizon, day))
+                continue
             try:
                 self.set_delegation(day, domain, ns_set)
             except NameError_:
@@ -608,16 +618,18 @@ class ZoneDatabase:
         tld_text = Name(tld).text
         delegations: dict[str, frozenset[str]] = {}
         for domain in self.store.domains_in_tld(tld_text):
-            active = frozenset(
-                r.ns for r in self.store.domain_records(domain) if r.active_on(day)
-            )
+            # ``DelegationRecord.active_on`` inlined: this loop visits every
+            # record of the TLD once per sampled day.
+            active = [
+                r.ns
+                for r in self.store.domain_records(domain)
+                if r.start <= day and (r.end is None or day < r.end)
+            ]
             if active:
-                delegations[domain] = active
-        # The database tracks glue *presence*, not addresses (DZDB-style),
-        # so reconstructed snapshots carry a documentation placeholder.
+                delegations[domain] = frozenset(active)
         suffix = "." + tld_text
         glue = {
-            host: frozenset({"192.0.2.0"})
+            host: _PLACEHOLDER_GLUE
             for host in self.store.presence_keys(GLUE)
             if host.endswith(suffix)
             and self.store.presence_contains(GLUE, host, day)

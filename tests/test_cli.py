@@ -105,6 +105,20 @@ class TestSimulateDetectRoundTrip:
         code = main(["detect", "--archive", str(tmp_path)])
         assert code == 1
 
+    def test_detect_missing_archive_names_the_path(self, tmp_path, capsys):
+        missing = tmp_path / "nowhere"
+        assert main(["detect", "--archive", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert f"archive directory does not exist: {missing}" in err
+        assert "no delegations" not in err
+
+    def test_detect_simulate_out_dir_suggests_zones(self, simulated, capsys):
+        assert main(["detect", "--archive", str(simulated)]) == 1
+        err = capsys.readouterr().err
+        assert f"no *.zone files under {simulated}" in err
+        assert f"did you mean {simulated / 'zones'}?" in err
+        assert "no delegations" not in err
+
     def test_detect_requires_a_source(self, capsys):
         assert main(["detect"]) == 2
         assert "--dataset or --archive" in capsys.readouterr().err

@@ -13,7 +13,12 @@ Two claims are pinned down here:
 from __future__ import annotations
 
 import hashlib
+import os
+import sqlite3
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -143,3 +148,43 @@ def test_zone_archive_bytes_are_reproducible(pristine, tmp_path):
     pristine.whois.dump(whois_a)
     pristine.whois.dump(whois_b)
     assert whois_a.read_bytes() == whois_b.read_bytes()
+
+
+def _simulate_under_hash_seed(out, hash_seed: str) -> None:
+    """``riskybiz simulate --scale 0.03`` in a fresh interpreter."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+    process = subprocess.run(
+        [sys.executable, "-m", "repro", "simulate", "--scale", "0.03",
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert process.returncode == 0, process.stderr[-2000:]
+
+
+def _dataset_dump(path) -> list[str]:
+    connection = sqlite3.connect(path)
+    try:
+        return list(connection.iterdump())
+    finally:
+        connection.close()
+
+
+def test_simulate_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """String hashing is salted per process; no output may follow it."""
+    first, second = tmp_path / "seed1", tmp_path / "seed2"
+    _simulate_under_hash_seed(first, "1")
+    _simulate_under_hash_seed(second, "2")
+    assert _dataset_dump(first / "dataset.sqlite") == _dataset_dump(
+        second / "dataset.sqlite"
+    )
+    zones = sorted(p.relative_to(first) for p in first.glob("zones/**/*.zone"))
+    assert zones
+    assert zones == sorted(
+        p.relative_to(second) for p in second.glob("zones/**/*.zone")
+    )
+    for zone in zones:
+        assert (first / zone).read_bytes() == (second / zone).read_bytes()
+    assert (first / "whois.jsonl").read_bytes() == (
+        second / "whois.jsonl"
+    ).read_bytes()

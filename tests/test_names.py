@@ -156,3 +156,37 @@ class TestNormalizeCache:
     @given(name_strategy)
     def test_normalize_agrees_with_name(self, raw):
         assert normalize(raw) == Name(raw).text
+
+    def test_normalize_accepts_a_name(self):
+        assert normalize(Name("FOO.Com")) == "foo.com"
+
+    def test_normalize_rejects_what_name_rejects(self):
+        with pytest.raises(NameError_) as from_name:
+            Name("bad..name")
+        with pytest.raises(NameError_) as from_normalize:
+            normalize("bad..name")
+        assert str(from_normalize.value) == str(from_name.value)
+
+
+class TestParseMemo:
+    """The parse memo keeps every check: errors recur, modes never mix."""
+
+    @pytest.mark.parametrize("raw", ["", "a..b", "-bad.com", "x" * 64 + ".com"])
+    def test_invalid_name_raises_on_every_construction(self, raw):
+        with pytest.raises(NameError_) as first:
+            Name(raw)
+        with pytest.raises(NameError_) as second:
+            Name(raw)
+        assert str(second.value) == str(first.value)
+
+    def test_lax_then_strict(self):
+        assert Name("lax_first.com").text == "lax_first.com"
+        with pytest.raises(NameError_):
+            Name("lax_first.com", strict=True)
+
+    def test_strict_then_lax(self):
+        with pytest.raises(NameError_):
+            Name("strict_first.com", strict=True)
+        assert Name("strict_first.com").text == "strict_first.com"
+        with pytest.raises(NameError_):
+            Name("strict_first.com", strict=True)

@@ -139,6 +139,26 @@ class TestPartitions:
         assert list(store.domains_in_tld("com")) == ["b.com"]
         assert list(store.domains_in_tld("org")) == []
 
+    def test_per_tld_queries_match_filtered_enumeration(self, store):
+        """Per-TLD queries keep the store's order through close and re-open."""
+        store.open_pair("c.biz", "ns1.x.com", 0)
+        store.open_pair("a.com", "ns1.x.com", 0)
+        store.open_pair("a.biz", "ns2.x.com", 1)
+        store.close_pair("a.biz", "ns2.x.com", 1)  # same day: annihilated
+        store.open_pair("b.biz", "ns2.x.com", 2)
+        store.close_pair("c.biz", "ns1.x.com", 3)  # no longer current
+        store.open_pair("a.biz", "ns2.x.com", 4)  # seen again, now last
+        store.open_pair("c.biz", "ns2.x.com", 5)  # current again, now last
+        for tld in ("biz", "com", "org"):
+            suffix = "." + tld
+            assert store.domains_in_tld(tld) == [
+                d for d in store.all_domains() if d.endswith(suffix)
+            ]
+            assert store.current_domains(suffix) == [
+                d for d in store.current_domains() if d.endswith(suffix)
+            ]
+        assert store.current_domains(".biz")[-1] == "c.biz"
+
     def test_partitions_enumerate_tlds(self, store):
         store.open_pair("a.biz", "ns1.x.com", 0)
         store.open_pair("b.com", "ns1.x.com", 0)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.dnscore.errors import ZoneError
+from repro.dnscore.errors import DnsError, ZoneError
 from repro.dnscore.zone import Zone
 
 
@@ -115,6 +115,60 @@ class TestSerialization:
         assert parsed.domains() == zone.domains()
         for domain in zone.domains():
             assert parsed.nameservers_of(domain) == zone.nameservers_of(domain)
+
+
+class TestRendering:
+    """``to_text`` renders stored strings; it must equal the record path."""
+
+    labels = st.text(alphabet="abcXYZ019-_", min_size=1, max_size=8).filter(
+        lambda label: not label.startswith("-") and not label.endswith("-")
+    )
+
+    @staticmethod
+    def _raw(name, upper, dot):
+        """Mixed-case, optionally trailing-dot spelling of a name."""
+        return (name.upper() if upper else name) + ("." if dot else "")
+
+    @given(
+        st.dictionaries(
+            labels,
+            st.sets(st.tuples(labels, st.booleans(), st.booleans()), min_size=1, max_size=3),
+            min_size=1,
+            max_size=8,
+        ),
+        st.dictionaries(
+            labels,
+            st.sets(st.ip_addresses(v=4).map(str), min_size=1, max_size=3),
+            max_size=4,
+        ),
+        st.booleans(),
+        st.integers(min_value=1, max_value=2**31),
+    )
+    def test_to_text_equals_record_lines(self, table, glue, upper, serial):
+        zone = Zone(self._raw("com", upper, True), serial=serial)
+        for sld, targets in table.items():
+            zone.set_delegation(
+                self._raw(f"{sld}.com", upper, not upper),
+                [self._raw(f"ns.{label}.net", up, dot) for label, up, dot in targets],
+            )
+        for host, addresses in glue.items():
+            zone.set_glue(self._raw(f"ns1.{host}.com", not upper, upper), addresses)
+        expected = (
+            f"$ORIGIN {zone.origin}.\n"
+            + "\n".join(record.to_line() for record in zone.records())
+            + "\n"
+        )
+        assert zone.to_text() == expected
+
+    def test_invalid_glue_address_still_rejected(self, zone):
+        with pytest.raises(DnsError):
+            zone.set_glue("ns2.example.com", ["2001:db8::1"])
+            zone.to_text()
+        assert zone.glue_of("ns2.example.com") == frozenset()
+
+    def test_glue_addresses_stored_canonical(self, zone):
+        zone.set_glue("ns2.example.com", [" 192.0.2.9 "])
+        assert zone.glue_of("ns2.example.com") == {"192.0.2.9"}
 
 
 class TestCopyAndRecords:

@@ -318,7 +318,7 @@ def _detect_incremental(args: argparse.Namespace, zonedb, whois):
 
         journal_path = Path(args.run_dir) / JOURNAL_NAME
         if resume is None and journal_path.exists():
-            resume = RunJournal.open(journal_path).run_id
+            resume = RunJournal.read_run_id(journal_path)
         consumer = IncrementalDetectionEngine.CONSUMER
     try:
         outcome = run_incremental_detection(
@@ -481,7 +481,7 @@ def cmd_advance(args: argparse.Namespace) -> int:
     journal_path = run_dir / JOURNAL_NAME
     try:
         resume = (
-            RunJournal.open(journal_path).run_id
+            RunJournal.read_run_id(journal_path)
             if journal_path.exists()
             else None
         )

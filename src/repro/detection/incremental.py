@@ -41,7 +41,6 @@ engine consume — one code path, two schedules.
 from __future__ import annotations
 
 import pickle
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
 
@@ -92,7 +91,7 @@ if TYPE_CHECKING:
     from repro.store.dataset import DatasetView as _DatasetView  # noqa: F401
 
 #: Format tag carried by serialized engine state.
-ENGINE_STATE_FORMAT = "riskybiz-engine-state/1"
+ENGINE_STATE_FORMAT = "riskybiz-engine-state/2"
 
 #: Watermark key for the engine as a whole (stages use their own names).
 ENGINE_WATERMARK = "engine"
@@ -745,19 +744,20 @@ class IncrementalDetectionEngine:
     # -- serialization / resume ----------------------------------------------
 
     def restore(
-        self, source: "ZoneDatabase | DatasetView", data: bytes
+        self, source: "ZoneDatabase | DatasetView", state: dict[str, Any]
     ) -> int | None:
-        """Adopt a serialized state, rebuilding the private store by replay.
+        """Adopt a loaded state, rebuilding the private store by replay.
 
-        Only valid on a fresh engine. The source's recorded deltas up to
-        the serialized watermark are replayed into the private store
+        ``state`` is what :func:`load_engine_state` returned, so a caller
+        that already parsed a checkpoint to verify it does not parse it
+        again. Only valid on a fresh engine. The source's recorded deltas
+        up to the state's watermark are replayed into the private store
         (replay is deterministic, so the rebuilt store is bit-identical
         to the one the state was dumped against); the standing verdicts
         are installed as-is. Returns the restored watermark.
         """
         if self.watermark is not None:
             raise ValueError("restore requires a fresh engine")
-        state = load_engine_state(data)
         watermark = state["watermarks"].get(ENGINE_WATERMARK)
         if watermark is not None:
             zonedb = (
@@ -779,7 +779,9 @@ def dump_engine_state(engine: IncrementalDetectionEngine) -> bytes:
     dicts to key-sorted) so equal states produce identical bytes
     regardless of fold order or process hash seed — engine checkpoints
     are content-addressed by these bytes, exactly like the batch
-    pipeline's stage checkpoints.
+    pipeline's stage checkpoints. The miner's substring counts are not
+    stored: they are a pure function of its name multiset, which is, and
+    :func:`load_engine_state` rebuilds them from it.
     """
     state = engine.state
     counter: SubstringCounter = state["mine_counter"]
@@ -791,7 +793,6 @@ def dump_engine_state(engine: IncrementalDetectionEngine) -> bytes:
         },
         "mine_lengths": [counter.min_length, counter.max_length],
         "mine_names": sorted(counter.names.items()),
-        "mine_counts": sorted(counter.counts.items()),
         "test_removed": sorted(state["test_removed"]),
         "pattern": {ns: state["pattern"][ns] for ns in sorted(state["pattern"])},
         "single_repo": sorted(state["single_repo"]),
@@ -808,7 +809,12 @@ def dump_engine_state(engine: IncrementalDetectionEngine) -> bytes:
 
 
 def load_engine_state(data: bytes) -> dict[str, Any]:
-    """Inverse of :func:`dump_engine_state`."""
+    """Inverse of :func:`dump_engine_state`.
+
+    Any other format, including the ``/1`` format that stored the
+    substring counts, raises ``ValueError``; the runner treats that as
+    an unreadable checkpoint and refolds from the delta stream.
+    """
     payload: dict[str, Any] = pickle.loads(data)
     if payload.get("format") != ENGINE_STATE_FORMAT:
         raise ValueError(
@@ -816,8 +822,9 @@ def load_engine_state(data: bytes) -> dict[str, Any]:
         )
     min_length, max_length = payload["mine_lengths"]
     counter = SubstringCounter(min_length=min_length, max_length=max_length)
-    counter.names = Counter(dict(payload["mine_names"]))
-    counter.counts = Counter(dict(payload["mine_counts"]))
+    for name, multiplicity in payload["mine_names"]:
+        for _ in range(multiplicity):
+            counter.add(name)
     return {
         "watermarks": dict(payload["watermarks"]),
         "candidates": dict(payload["candidates"]),

@@ -43,12 +43,12 @@ class SubstringPattern:
 
 
 def _substrings_of(name: str, min_len: int, max_len: int) -> set[str]:
-    found: set[str] = set()
     n = len(name)
-    for length in range(min_len, min(max_len, n) + 1):
-        for start in range(n - length + 1):
-            found.add(name[start:start + length])
-    return found
+    return {
+        name[start:start + length]
+        for length in range(min_len, min(max_len, n) + 1)
+        for start in range(n - length + 1)
+    }
 
 
 def _select_patterns(
@@ -127,8 +127,10 @@ class SubstringCounter:
         lowered = name.lower()
         self.revision += 1
         self.names[lowered] += 1
-        for substring in _substrings_of(lowered, self.min_length, self.max_length):
-            self.counts[substring] += 1
+        # Counter.update over a non-mapping counts in C (_count_elements).
+        self.counts.update(
+            _substrings_of(lowered, self.min_length, self.max_length)
+        )
 
     def discard(self, name: str) -> None:
         """Remove one name occurrence; unknown names raise ``KeyError``."""

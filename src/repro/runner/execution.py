@@ -756,18 +756,16 @@ def _restore_engine(
       whole stream (advancing is deterministic, so redoing is safe).
 
     Returns the restored watermark (None when starting from scratch).
-    The engine is only mutated once the checkpoint has fully verified,
-    so every reset path leaves it fresh.
+    The checkpoint is read and parsed once; its bytes are hashed in
+    memory. The engine is only mutated once the checkpoint has fully
+    verified, so every reset path leaves it fresh.
     """
-    reset_after = -1
-    for record in journal.events("engine-reset"):
-        reset_after = record.seq
     journaled_day: int | None = None
     journaled_sha: str | None = None
-    for record in journal.events("day-advanced"):
-        if record.seq > reset_after:
-            journaled_day = int(record.payload["day"])
-            journaled_sha = record.payload.get("checkpoint_sha256")
+    newest = journal.last_day_advanced()
+    if newest is not None:
+        journaled_day = int(newest.payload["day"])
+        journaled_sha = newest.payload.get("checkpoint_sha256")
     if not path.exists():
         if journaled_day is not None:
             journal.append("engine-reset", reason="checkpoint-missing")
@@ -775,31 +773,33 @@ def _restore_engine(
         return None
     try:
         data = path.read_bytes()
-        watermark = load_engine_state(data)["watermarks"].get(ENGINE_WATERMARK)
+        state = load_engine_state(data)
+        watermark = state["watermarks"].get(ENGINE_WATERMARK)
     except Exception:
         quarantine(path)
         journal.append("engine-reset", reason="checkpoint-unreadable")
         _note_engine_reset("checkpoint-unreadable")
         return None
+    sha = hashlib.sha256(data).hexdigest()
     if journaled_day is not None:
         if watermark is None or watermark < journaled_day:
             quarantine(path)
             journal.append("engine-reset", reason="checkpoint-behind-journal")
             _note_engine_reset("checkpoint-behind-journal")
             return None
-        if watermark == journaled_day and file_sha256(path) != journaled_sha:
+        if watermark == journaled_day and sha != journaled_sha:
             quarantine(path)
             journal.append("engine-reset", reason="checkpoint-mismatch")
             _note_engine_reset("checkpoint-mismatch")
             return None
     elif watermark is None:
         return None
-    engine.restore(zonedb, data)
+    engine.restore(zonedb, state)
     if journaled_day is None or watermark > journaled_day:
         journal.append(
             "day-advanced",
             day=watermark,
-            checkpoint_sha256=file_sha256(path),
+            checkpoint_sha256=sha,
             reconciled=True,
         )
     return watermark
@@ -981,13 +981,14 @@ def _execute_incremental(
         for batch_day, events in view.batches():
             applied = engine.advance(batch_day, events)
             _boundary(chaos, "worker", f"day:{batch_day}")
-            atomic_write_bytes(checkpoint_path, dump_engine_state(engine))
+            checkpoint = dump_engine_state(engine)
+            atomic_write_bytes(checkpoint_path, checkpoint)
             _boundary(chaos, "supervisor", f"day-advanced:{batch_day}")
             journal.append(
                 "day-advanced",
                 day=batch_day,
                 deltas_applied=applied,
-                checkpoint_sha256=file_sha256(checkpoint_path),
+                checkpoint_sha256=hashlib.sha256(checkpoint).hexdigest(),
             )
             if consumer is not None and (
                 source_mark is None or batch_day > source_mark

@@ -158,6 +158,22 @@ class RunJournal:
             journal._truncate_to_verified(raw_lines)
         return journal
 
+    @staticmethod
+    def read_run_id(path: str | Path) -> str:
+        """The run ID of the journal at ``path``, from its first record.
+
+        Reads and verifies only the ``run-start`` record, for callers
+        that need the ID to pick a run before handing the path to a
+        runner that opens (and fully verifies) the journal itself.
+        """
+        target = Path(path)
+        with open(target, encoding="utf-8") as handle:
+            first = handle.readline().rstrip("\n")
+        record = _parse_line(first)
+        if record is None or record.seq != 0 or record.type != "run-start":
+            raise JournalCorruption(f"{target}: first record is not run-start")
+        return record.run_id
+
     def _truncate_to_verified(self, raw_lines: list[str]) -> None:
         """Rewrite the file to contain exactly the verified records.
 
@@ -229,6 +245,19 @@ class RunJournal:
             if int(record.payload["shard"]) == shard:
                 stages.append(str(record.payload["stage"]))
         return stages
+
+    def last_day_advanced(self) -> JournalRecord | None:
+        """The newest ``day-advanced`` event after the last ``engine-reset``.
+
+        An incremental run's engine checkpoint must describe this day; an
+        ``engine-reset`` voids every day journaled before it.
+        """
+        for record in reversed(self.records):
+            if record.type == "engine-reset":
+                return None
+            if record.type == "day-advanced":
+                return record
+        return None
 
     @property
     def run_complete(self) -> JournalRecord | None:

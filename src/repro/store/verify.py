@@ -19,6 +19,7 @@ import json
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.store.atomic import (
     IntegrityError,
@@ -27,6 +28,9 @@ from repro.store.atomic import (
     file_sha256,
     verify_checked_json,
 )
+
+if TYPE_CHECKING:
+    from repro.runner.journal import RunJournal
 
 #: Issue kinds, for tests and tooling (values double as report labels).
 MISSING = "missing"
@@ -212,15 +216,71 @@ def verify_artifact_dir(root: str | Path) -> list[Issue]:
 # -- run directories ---------------------------------------------------------
 
 
+def _engine_checkpoint_issues(journal: RunJournal, path: Path) -> list[Issue]:
+    """Check an incremental run's engine checkpoint against its journal.
+
+    The newest ``day-advanced`` record after the last ``engine-reset``
+    names the checkpoint the run stands on. The file must exist, load,
+    and hash to that record's ``checkpoint_sha256``. A checkpoint one
+    fold *ahead* of the journal is the crash window between the
+    checkpoint write and its journal append, which the next ``advance``
+    reconciles, so it is not reported.
+    """
+    from repro.detection.incremental import ENGINE_WATERMARK, load_engine_state
+
+    newest = journal.last_day_advanced()
+    if newest is None:
+        return []
+    day = int(newest.payload["day"])
+    if not path.exists():
+        return [
+            Issue(
+                MISSING,
+                str(path),
+                f"journal says day {day} was folded but the engine "
+                "checkpoint does not exist",
+            )
+        ]
+    data = path.read_bytes()
+    try:
+        watermark = load_engine_state(data)["watermarks"].get(ENGINE_WATERMARK)
+    except Exception as error:
+        return [Issue(CORRUPT, str(path), f"unreadable engine checkpoint: {error}")]
+    if watermark is not None and watermark > day:
+        return []
+    if watermark != day:
+        return [
+            Issue(
+                INCONSISTENT,
+                str(path),
+                f"engine checkpoint is at day {watermark}, journal says {day}",
+            )
+        ]
+    actual = hashlib.sha256(data).hexdigest()
+    recorded = newest.payload.get("checkpoint_sha256")
+    if actual != recorded:
+        return [
+            Issue(
+                HASH_MISMATCH,
+                str(path),
+                f"bytes hash {actual[:12]}…, journal says {str(recorded)[:12]}…",
+            )
+        ]
+    return []
+
+
 def verify_run_dir(run_dir: str | Path) -> list[Issue]:
-    """Verify a supervised run directory: journal, checkpoints, result.
+    """Verify a run directory: journal, checkpoints, result.
 
     Replays the journal (reporting corruption rather than raising),
     recomputes every checkpoint SHA-256 the journal recorded for a
-    completed shard, and — when the run durably completed — verifies
-    the merged result's bytes and manifest.
+    completed shard or, for an incremental run, for the newest folded
+    day, and — when the run durably completed — verifies the result's
+    bytes and manifest.
     """
     from repro.runner.execution import (
+        CHECKPOINT_DIR_NAME,
+        ENGINE_CHECKPOINT_NAME,
         JOURNAL_NAME,
         RESULT_MANIFEST_NAME,
         RESULT_NAME,
@@ -237,7 +297,7 @@ def verify_run_dir(run_dir: str | Path) -> list[Issue]:
     except JournalCorruption as error:
         return [Issue(CORRUPT, str(journal_path), str(error))]
 
-    checkpoint_dir = directory / "checkpoints"
+    checkpoint_dir = directory / CHECKPOINT_DIR_NAME
     for index, payload in sorted(journal.completed_shards().items()):
         recorded = payload.get("checkpoint_sha256")
         matches = sorted(checkpoint_dir.glob(f"shard-{index:04d}-of-*.pkl"))
@@ -268,6 +328,9 @@ def verify_run_dir(run_dir: str | Path) -> list[Issue]:
                     issues.append(
                         Issue(CORRUPT, str(path), f"unreadable checkpoint: {error}")
                     )
+    issues.extend(
+        _engine_checkpoint_issues(journal, checkpoint_dir / ENGINE_CHECKPOINT_NAME)
+    )
 
     complete = journal.run_complete
     if complete is not None:

@@ -160,6 +160,47 @@ class TestSimulateDetectRoundTrip:
         assert capsys.readouterr().out == captured.out
 
 
+class TestAdvanceCommand:
+    """``riskybiz advance``: a standing mined run resumed across calls."""
+
+    def test_resumed_mined_advance_matches_batch(self, tmp_path, capsys):
+        import re
+
+        from repro.detection.pipeline import DetectionPipeline
+        from repro.runner.execution import result_digest
+        from repro.store.dataset import open_dataset
+
+        out = tmp_path / "sim"
+        assert main(["simulate", "--out", str(out), "--scale", "0.03"]) == 0
+        zonedb = open_dataset(out / "dataset.sqlite")
+        whois = WhoisArchive.load(out / "whois.jsonl")
+        batch = DetectionPipeline(zonedb, whois, mine_patterns=True).run()
+        days = sorted({day for day, _ in zonedb.deltas_since(None)})
+        zonedb.close()
+        capsys.readouterr()
+
+        run_dir = tmp_path / "run"
+        advance = [
+            "advance",
+            "--dataset", str(out / "dataset.sqlite"),
+            "--whois", str(out / "whois.jsonl"),
+            "--run-dir", str(run_dir),
+            "--mine-patterns",
+        ]
+        assert main(advance + ["--until", str(days[len(days) // 2])]) == 0
+        first = capsys.readouterr()
+        assert f"watermark now {days[len(days) // 2]}" in first.err
+        assert main(advance) == 0
+        second = capsys.readouterr()
+        assert f"watermark now {days[-1]}" in second.err
+        digest = re.search(r"^Result digest: (\w+)", second.out, re.MULTILINE)
+        assert digest is not None
+        assert digest.group(1) == result_digest(batch)
+
+        assert main(["verify-data", "--run-dir", str(run_dir)]) == 0
+        assert "all checks passed" in capsys.readouterr().out
+
+
 class TestExperimentCommand:
     def test_experiment_runs(self, capsys):
         code = main(["experiment", "--scale", "0.1", "--seed", "31"])

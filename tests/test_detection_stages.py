@@ -6,7 +6,11 @@ from repro.detection.candidates import CandidateNameserver, build_candidate_set
 from repro.detection.matching import OriginalNameserverMatcher
 from repro.detection.repository_check import RepositoryMap, SingleRepositoryFilter
 from repro.detection.resolvability import ResolvabilityAnalyzer
-from repro.detection.substrings import mine_substrings, patterns_matching
+from repro.detection.substrings import (
+    SubstringCounter,
+    mine_substrings,
+    patterns_matching,
+)
 from repro.detection.testns import TestNameserverFilter
 from repro.whois.archive import WhoisArchive
 from repro.zonedb.database import ZoneDatabase
@@ -135,6 +139,28 @@ class TestSubstringMiner:
     def test_top_limits_output(self):
         names = [f"verycommonsubstring{i}.biz" for i in range(30)]
         assert len(mine_substrings(names, min_support=2, top=5)) <= 5
+
+    def test_counter_matches_a_plain_loop(self):
+        names = ["ABABAB.com", "ababab.com", "ns1.x.biz", "ab.c", "q"]
+        counter = SubstringCounter(min_length=2, max_length=4)
+        for name in names:
+            counter.add(name)
+        expected: dict[str, int] = {}
+        for name in names:
+            lowered = name.lower()
+            seen = set()
+            for length in range(2, 5):
+                for start in range(len(lowered) - length + 1):
+                    seen.add(lowered[start:start + length])
+            for substring in sorted(seen):
+                expected[substring] = expected.get(substring, 0) + 1
+        assert dict(counter.counts) == expected
+        assert dict(counter.names) == {
+            "ababab.com": 2, "ns1.x.biz": 1, "ab.c": 1, "q": 1,
+        }
+        for name in names:
+            counter.discard(name)
+        assert not counter.counts and not counter.names
 
 
 class TestTestNsFilter:

@@ -10,9 +10,12 @@ with its crash-recovery paths.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.detection.incremental import (
+    ENGINE_STATE_FORMAT,
     ENGINE_WATERMARK,
     IncrementalDetectionEngine,
     commit_watermark,
@@ -20,7 +23,8 @@ from repro.detection.incremental import (
     load_engine_state,
     new_engine_state,
 )
-from repro.detection.pipeline import DetectionPipeline
+from repro.detection.pipeline import MINE_MIN_SUPPORT, DetectionPipeline
+from repro.detection.substrings import SubstringCounter
 from repro.runner.execution import (
     result_digest,
     run_incremental_detection,
@@ -136,7 +140,7 @@ class TestSerialization:
     def test_dump_restore_round_trip_matches(self, world, batch_digest):
         data = dump_engine_state(_drained_engine(world))
         fresh = IncrementalDetectionEngine(world.whois)
-        watermark = fresh.restore(world.zonedb, data)
+        watermark = fresh.restore(world.zonedb, load_engine_state(data))
         assert watermark == DeltaView(world.zonedb).last_batch_day()
         assert fresh.watermark == watermark
         assert result_digest(fresh.result()) == batch_digest
@@ -154,11 +158,9 @@ class TestSerialization:
         engine = IncrementalDetectionEngine(whois)
         engine.advance_from(zonedb)
         with pytest.raises(ValueError, match="fresh engine"):
-            engine.restore(zonedb, dump_engine_state(engine))
+            engine.restore(zonedb, load_engine_state(dump_engine_state(engine)))
 
     def test_load_rejects_foreign_payloads(self):
-        import pickle
-
         with pytest.raises(ValueError, match="not an engine state"):
             load_engine_state(pickle.dumps({"format": "something-else/1"}))
 
@@ -169,10 +171,59 @@ class TestSerialization:
         for batch_day, events in batches[:-2]:
             partial.advance(batch_day, events)
         fresh = IncrementalDetectionEngine(whois)
-        fresh.restore(zonedb, dump_engine_state(partial))
+        fresh.restore(zonedb, load_engine_state(dump_engine_state(partial)))
         fresh.advance_from(zonedb)
         batch = DetectionPipeline(zonedb, whois).run()
         assert result_digest(fresh.result()) == result_digest(batch)
+
+
+class TestMinerCheckpoint:
+    """The miner's substring counts are rebuilt on load, not stored."""
+
+    def test_counter_restores_exactly(self, world):
+        engine = _drained_engine(world)
+        data = dump_engine_state(engine)
+        payload = pickle.loads(data)
+        assert payload["format"] == ENGINE_STATE_FORMAT
+        assert payload["mine_names"]
+        assert "mine_counts" not in payload
+        original = engine.state["mine_counter"]
+        restored = load_engine_state(data)["mine_counter"]
+        # Compared as plain dicts: Counter equality would treat a stored
+        # zero count as absent.
+        assert dict(restored.counts) == dict(original.counts)
+        assert dict(restored.names) == dict(original.names)
+        assert (restored.min_length, restored.max_length) == (
+            original.min_length,
+            original.max_length,
+        )
+        # The result digest only sees patterns at or above the support
+        # threshold; the counts below it must survive too.
+        assert any(n < MINE_MIN_SUPPORT for n in original.counts.values())
+
+    def test_restored_engine_keeps_folding_like_an_unserialized_one(
+        self, world, batch_digest
+    ):
+        view = DeltaView(world.zonedb)
+        midpoint = view.batches()[len(view.batches()) // 2][0]
+        straight = _drained_engine_until(world, midpoint)
+        restored = IncrementalDetectionEngine(world.whois)
+        restored.restore(
+            world.zonedb, load_engine_state(dump_engine_state(straight))
+        )
+        straight.advance_from(world.zonedb)
+        restored.advance_from(world.zonedb)
+        assert result_digest(restored.result()) == batch_digest
+        ours = restored.state["mine_counter"]
+        theirs = straight.state["mine_counter"]
+        for counter in (ours, theirs):
+            for name in sorted(counter.names)[:3]:
+                counter.discard(name)
+            counter.add("ns1.pleasedropthishost1234.biz")
+            counter.add("ns2.pleasedropthishost1234.biz")
+        assert dict(ours.counts) == dict(theirs.counts)
+        assert dict(ours.names) == dict(theirs.names)
+        assert ours.select(min_support=1) == theirs.select(min_support=1)
 
 
 class TestIncrementalRunner:
@@ -272,6 +323,40 @@ class TestIncrementalRunner:
         )
         assert again.result_digest == first.result_digest
         assert self._journaled_resets(run_dir) == ["checkpoint-missing"]
+
+    def test_format_1_checkpoint_is_quarantined_and_refolded(
+        self, world, tmp_path
+    ):
+        view = DeltaView(world.zonedb)
+        midpoint = view.batches()[len(view.batches()) // 2][0]
+        run_dir = tmp_path / "run"
+        first = run_incremental_detection(
+            world.zonedb, world.whois, run_dir=run_dir, until=midpoint
+        )
+        # Rewrite the checkpoint the way the /1 format stored it: the
+        # same state plus every (substring, support) pair.
+        checkpoint = run_dir / "checkpoints" / "engine-state.pkl"
+        payload = pickle.loads(checkpoint.read_bytes())
+        counter = SubstringCounter()
+        for name, multiplicity in payload["mine_names"]:
+            for _ in range(multiplicity):
+                counter.add(name)
+        payload["format"] = "riskybiz-engine-state/1"
+        payload["mine_counts"] = sorted(counter.counts.items())
+        checkpoint.write_bytes(pickle.dumps(payload))
+        again = run_incremental_detection(
+            world.zonedb, world.whois, run_dir=run_dir, resume=first.run_id
+        )
+        assert self._journaled_resets(run_dir) == ["checkpoint-unreadable"]
+        assert (checkpoint.parent / "engine-state.pkl.corrupt").exists()
+        assert again.restored_watermark is None
+        batch = DetectionPipeline(
+            world.zonedb, world.whois, mine_patterns=True
+        ).run()
+        assert again.result_digest == result_digest(batch)
+        assert load_engine_state(checkpoint.read_bytes())["watermarks"][
+            ENGINE_WATERMARK
+        ] == view.last_batch_day()
 
     def test_stale_checkpoint_behind_journal_resets(self, world, tmp_path):
         view = DeltaView(world.zonedb)

@@ -64,6 +64,27 @@ class TestReplay:
         journal.append("run-complete", result_digest="dd")
         assert journal.run_complete is not None
 
+    def test_last_day_advanced_stops_at_engine_reset(self, journal):
+        assert journal.last_day_advanced() is None
+        journal.append("day-advanced", day=3, checkpoint_sha256="aa")
+        journal.append("day-advanced", day=5, checkpoint_sha256="bb")
+        journal.append("run-complete", result_digest="dd")
+        assert journal.last_day_advanced().payload["day"] == 5
+        journal.append("engine-reset", reason="checkpoint-missing")
+        assert journal.last_day_advanced() is None
+        journal.append("day-advanced", day=1, checkpoint_sha256="cc")
+        assert journal.last_day_advanced().payload["day"] == 1
+
+    def test_read_run_id_reads_the_verified_first_record(self, journal, tmp_path):
+        journal.append("day-advanced", day=3)
+        path = tmp_path / "journal.jsonl"
+        assert RunJournal.read_run_id(path) == "run-test"
+        lines = path.read_text().splitlines()
+        lines[0] = lines[0].replace('"run-test"', '"run-forged"', 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(JournalCorruption):
+            RunJournal.read_run_id(path)
+
 
 class TestTornTailRecovery:
     def test_truncated_last_line_dropped(self, journal, tmp_path):
@@ -118,6 +139,8 @@ class TestCorruptionRefusal:
         journal.append("shard-complete", shard=0)
         with pytest.raises(JournalCorruption):
             RunJournal.open(path)
+        with pytest.raises(JournalCorruption):
+            RunJournal.read_run_id(path)
 
     def test_reordered_records_raise(self, journal, tmp_path):
         journal.append("shard-start", shard=0)

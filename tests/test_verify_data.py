@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 import shutil
 
 import pytest
@@ -183,6 +184,66 @@ class TestVerifyRunDir:
         body["result_digest"] = "0" * 64
         write_checked_json(manifest_file, body)
         assert INCONSISTENT in kinds(verify_run_dir(run_copy))
+
+
+@pytest.fixture(scope="module")
+def incremental_run_dir(tmp_path_factory, tiny_bundle):
+    from repro.runner.execution import run_incremental_detection
+
+    directory = tmp_path_factory.mktemp("verify-incremental") / "run"
+    run_incremental_detection(
+        tiny_bundle.world.zonedb,
+        tiny_bundle.world.whois,
+        run_dir=directory,
+        mine_patterns=True,
+    )
+    return directory
+
+
+@pytest.fixture
+def incremental_copy(incremental_run_dir, tmp_path):
+    copy = tmp_path / "run"
+    shutil.copytree(incremental_run_dir, copy)
+    return copy
+
+
+class TestVerifyIncrementalRunDir:
+    def test_clean_run_verifies(self, incremental_copy):
+        assert (incremental_copy / "checkpoints" / "engine-state.pkl").exists()
+        assert verify_run_dir(incremental_copy) == []
+
+    def test_corrupt_engine_checkpoint(self, incremental_copy):
+        (incremental_copy / "checkpoints" / "engine-state.pkl").write_bytes(
+            b"garbage"
+        )
+        assert kinds(verify_run_dir(incremental_copy)) == [CORRUPT]
+
+    def test_tampered_engine_checkpoint(self, incremental_copy):
+        checkpoint = incremental_copy / "checkpoints" / "engine-state.pkl"
+        payload = pickle.loads(checkpoint.read_bytes())
+        payload["single_repo"] = payload["single_repo"] + ["ns1.forged.biz"]
+        checkpoint.write_bytes(pickle.dumps(payload))
+        assert kinds(verify_run_dir(incremental_copy)) == [HASH_MISMATCH]
+
+    def test_engine_checkpoint_behind_journal(self, incremental_copy):
+        checkpoint = incremental_copy / "checkpoints" / "engine-state.pkl"
+        payload = pickle.loads(checkpoint.read_bytes())
+        payload["watermarks"]["engine"] -= 1
+        checkpoint.write_bytes(pickle.dumps(payload))
+        assert kinds(verify_run_dir(incremental_copy)) == [INCONSISTENT]
+
+    def test_missing_engine_checkpoint(self, incremental_copy):
+        (incremental_copy / "checkpoints" / "engine-state.pkl").unlink()
+        assert kinds(verify_run_dir(incremental_copy)) == [MISSING]
+
+    def test_cli_reports_corrupt_engine_checkpoint(self, incremental_copy, capsys):
+        from repro.cli import main
+
+        (incremental_copy / "checkpoints" / "engine-state.pkl").write_bytes(
+            b"garbage"
+        )
+        assert main(["verify-data", "--run-dir", str(incremental_copy)]) == 1
+        assert CORRUPT in capsys.readouterr().out
 
 
 class TestRendering:
